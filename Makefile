@@ -21,12 +21,15 @@ race:
 # the race detector: crash-at-every-truncation-point replay, write kills at
 # every byte offset, syscall faults on every Compact step, the codec
 # corruption matrix, and the per-shard fault isolation suite (a write kill
-# in one shard's WAL must latch only that shard). -count=1 defeats test
-# caching so CI always re-proves the durability contract.
+# in one shard's WAL must latch only that shard). The second line runs the
+# page store's segment suites: torn-tail repair, crash mid-write, reopen,
+# and the refusal to truncate past corruption in any segment. -count=1
+# defeats test caching so CI always re-proves the durability contract.
 crashtest:
 	$(GO) test -race -count=1 -v \
 		-run 'Crash|Fault|Torn|Recovery|Corrupt|Degraded|Killed|Seq|Frame|Shard|Manifest|Legacy' \
 		./internal/lrec/
+	$(GO) test -race -count=1 -v -run 'TestDiskStore(Torn|Crash|Corrupt|Reopen)' ./internal/webgraph/
 
 # servetest runs the serving-layer suites under the race detector: concurrent
 # Search/Aggregate traffic hammered against in-flight Refresh and Reconcile,

@@ -332,19 +332,19 @@ func BenchmarkA2RelationalClassification(b *testing.B) {
 	}
 	evalCity := func(nb *classify.NaiveBayes, city string, refine bool) (float64, int) {
 		site, _ := w.SiteByHost(webgen.PortalHost(city))
-		st := webgraph.NewStore()
+		var pages []*webgraph.Page
 		var labeled []classify.PageLabel
 		truth := map[string]string{}
 		for _, p := range site.Pages {
 			pg := webgraph.NewPage(p.URL, p.HTML)
-			st.Put(pg)
+			pages = append(pages, pg)
 			label, probs := nb.Predict(classify.Features(pg))
 			labeled = append(labeled, classify.PageLabel{URL: p.URL, Label: label, Probs: probs})
 			truth[p.URL] = p.Truth.Category
 		}
 		final := map[string]classify.PageLabel{}
 		if refine {
-			final = classify.Refine(labeled, webgraph.BuildGraph(st), classify.DefaultRefineOptions())
+			final = classify.Refine(labeled, webgraph.BuildGraph(pages), classify.DefaultRefineOptions())
 		} else {
 			for _, pl := range labeled {
 				final[pl.URL] = pl

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,11 +68,11 @@ func TestNaiveBayesPriors(t *testing.T) {
 func portalPages(w *webgen.World, city string) ([]*webgen.Page, *webgraph.Graph) {
 	host := webgen.PortalHost(city)
 	site, _ := w.SiteByHost(host)
-	st := webgraph.NewStore()
-	for _, p := range site.Pages {
-		st.Put(webgraph.NewPage(p.URL, p.HTML))
+	pages := make([]*webgraph.Page, len(site.Pages))
+	for i, p := range site.Pages {
+		pages[i] = webgraph.NewPage(p.URL, p.HTML)
 	}
-	return site.Pages, webgraph.BuildGraph(st)
+	return site.Pages, webgraph.BuildGraph(pages)
 }
 
 func worldForClassify() *webgen.World {
@@ -181,6 +182,36 @@ func TestRefineFixesDirectoryOutlier(t *testing.T) {
 	// Confident pages stay put.
 	if got := out["c.example/calendar/a"].Label; got != "events" {
 		t.Errorf("confident page flipped to %q", got)
+	}
+}
+
+// TestRefineSiteGraphMatchesCorpusGraph: Refine keeps only in-site
+// neighbours, and BuildGraph's lists are sorted and deduplicated, so a graph
+// built from one site's pages gives bit-identical refined posteriors to one
+// built over the whole corpus.
+func TestRefineSiteGraphMatchesCorpusGraph(t *testing.T) {
+	w := worldForClassify()
+	nb := trainGlobal(w)
+	var all []*webgraph.Page
+	for _, wp := range w.Pages() {
+		all = append(all, webgraph.NewPage(wp.URL, wp.HTML))
+	}
+	corpus := webgraph.BuildGraph(all)
+	for _, city := range w.Cities() {
+		site, _ := portalPages(w, city)
+		var pages []*webgraph.Page
+		var labeled []PageLabel
+		for _, p := range site {
+			pg := webgraph.NewPage(p.URL, p.HTML)
+			pages = append(pages, pg)
+			label, probs := nb.Predict(Features(pg))
+			labeled = append(labeled, PageLabel{URL: p.URL, Label: label, Probs: probs})
+		}
+		got := Refine(labeled, webgraph.BuildGraph(pages), DefaultRefineOptions())
+		want := Refine(labeled, corpus, DefaultRefineOptions())
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: site-local refinement differs from corpus-graph refinement", city)
+		}
 	}
 }
 

@@ -41,23 +41,28 @@ func ScaleConfig(reg *lrec.Registry, cities, cuisines []string) Config {
 // pages that belong to a certain category and then doing further extraction
 // on them"). Pages on hosts outside `hosts` pass ungated; pages on gated
 // hosts are admitted to a concept's detail extraction only when their
-// refined label equals conceptCat[concept].
+// refined label equals conceptCat[concept]. Refinement uses only a site's
+// own directory and link structure, so each gated host's link graph is
+// built from that host's pages alone.
 func ClassifierGate(nb *classify.NaiveBayes, conceptCat map[string]string,
-	pages *webgraph.Store, graph *webgraph.Graph, hosts []string) func(string, *webgraph.Page) bool {
+	pages *webgraph.Store, hosts []string) func(string, *webgraph.Page) bool {
 
 	gated := make(map[string]bool, len(hosts))
 	labels := make(map[string]string)
 	for _, h := range hosts {
 		gated[h] = true
+		var site []*webgraph.Page
 		var pls []classify.PageLabel
 		for _, u := range pages.HostPages(h) {
 			p, err := pages.Get(u)
 			if err != nil {
 				continue
 			}
+			site = append(site, p)
 			label, probs := nb.Predict(classify.Features(p))
 			pls = append(pls, classify.PageLabel{URL: u, Label: label, Probs: probs})
 		}
+		graph := webgraph.BuildGraph(site)
 		for u, pl := range classify.Refine(pls, graph, classify.DefaultRefineOptions()) {
 			labels[u] = pl.Label
 		}

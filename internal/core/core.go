@@ -85,7 +85,6 @@ type WebOfConcepts struct {
 	Registry *lrec.Registry
 	Records  *lrec.Store
 	Pages    *webgraph.Store
-	Graph    *webgraph.Graph
 	// DocIndex indexes page text; RecIndex indexes flattened lrecs — the
 	// paper's stipulation that concept retrieval ride on inverted indexes.
 	// Both are hash-sharded (1 shard unless Config.Shards says otherwise).
@@ -177,8 +176,8 @@ type BuildStats struct {
 	// for in-memory builds. A repaired torn tail is worth surfacing: it
 	// means the previous process died mid-append.
 	StoreRecovery *lrec.RecoveryStats
-	// Trace is the per-stage timing tree of the build
-	// (crawl/extract/resolve/link/index); render it with Trace.Table().
+	// Trace is the per-stage timing tree of the build (crawl or ingest,
+	// then extract/resolve/link/index); render it with Trace.Table().
 	Trace *obs.TraceReport
 }
 
@@ -191,11 +190,38 @@ type Builder struct {
 	assocSeen map[string]bool
 }
 
-// Build crawls from seeds and constructs the web of concepts. Each pipeline
-// stage (crawl, extract, resolve, link, index) is timed into a trace tree
-// returned on BuildStats.Trace and, when Cfg.Metrics is set, into per-stage
-// latency histograms named "build.<stage>".
+// Build crawls from seeds and constructs the web of concepts. It differs
+// from BuildStream only in its first stage — a breadth-first crawl through
+// Fetcher into the page store instead of ingesting a PageSource — and shares
+// every stage after it (see build). Each stage (crawl, extract, resolve,
+// link, index) is timed into a trace tree returned on BuildStats.Trace and,
+// when Cfg.Metrics is set, into per-stage latency histograms named
+// "build.<stage>".
 func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
+	return b.build("crawl", func(woc *WebOfConcepts, stats *BuildStats) error {
+		crawler := &webgraph.Crawler{
+			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
+		}
+		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
+		return nil
+	})
+}
+
+// build is the one construction pipeline behind Build and BuildStream. fill
+// populates the empty artifact's page store and is traced as the stage
+// named first. The later stages read pages back from the store a site or a
+// chunk at a time (§7.1: per-site batch stages), so no corpus-wide page
+// structure — analyses, prepared documents, a link graph — is resident:
+//
+//   - extract runs host by host over the ordered fan-in; each host's
+//     PageAnalysis values die when its task returns, and candidates fold
+//     into per-concept groups as hosts finish.
+//   - resolve clusters one concept's groups at a time and stores the
+//     representatives.
+//   - link re-analyzes candidate pages through the page store (its parse
+//     cache, on a disk store) instead of holding every analysis.
+//   - index prepares page documents in bounded chunks.
+func (b *Builder) build(first string, fill func(*WebOfConcepts, *BuildStats) error) (*WebOfConcepts, *BuildStats, error) {
 	woc, storeRecovery, err := b.newWoc()
 	if err != nil {
 		return nil, nil, err
@@ -203,28 +229,31 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
 	ctx, root := pipelineCtx("build")
 
-	b.stage(ctx, "crawl", func(context.Context) {
-		crawler := &webgraph.Crawler{
-			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
-		}
-		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
-		woc.Graph = webgraph.BuildGraph(woc.Pages)
+	var fillErr error
+	b.stage(ctx, first, func(context.Context) {
+		fillErr = fill(woc, stats)
 	})
+	if fillErr != nil {
+		return nil, nil, fmt.Errorf("core: %s: %w", first, fillErr)
+	}
 
 	cg := newConceptGroups(nil)
-	var analyses map[string]*extract.PageAnalysis
 	b.stage(ctx, "extract", func(context.Context) {
-		analyses = b.extractAll(woc.Pages, cg)
+		b.extractHosts(woc.Pages, woc.Pages.Hosts(), cg)
 		stats.Candidates = cg.total
 	})
 	b.stage(ctx, "resolve", func(context.Context) {
+		b.progress("resolve", 0, stats.Candidates)
 		b.resolveAndStore(woc, cg, stats)
+		b.progress("resolve", stats.Candidates, stats.Candidates)
 	})
+	cg = nil // the groups are drained; let them go before link
 	b.stage(ctx, "link", func(context.Context) {
-		b.linkText(woc, stats, analyses)
+		b.progress("link", 0, 0)
+		b.linkText(woc, stats)
 	})
 	b.stage(ctx, "index", func(context.Context) {
-		b.buildIndexes(woc)
+		b.fillIndexes(woc)
 	})
 
 	root.End()
@@ -306,65 +335,45 @@ func pipelineCtx(name string) (context.Context, *obs.Span) {
 	return obs.Start(ctx, name)
 }
 
-// extractAll runs domain-centric extraction over every site: list extraction
-// with template propagation, plus detail extraction on pages where no list
-// of the same concept was found (a page that lists five restaurants is not a
-// detail page about one).
+// extractHosts runs domain-centric extraction over the given hosts (sorted):
+// list extraction with template propagation, plus detail extraction on
+// pages where no list of the same concept was found (a page that lists
+// five restaurants is not a detail page about one). Build runs it over
+// every host, Refresh over the hosts a change touched.
 //
-// The unit of parallelism is a (host, domain) pair — per-site extraction is
-// the embarrassingly parallel unit (§7.1). Each task reads only shared
-// immutable inputs (parsed pages, the Domain value; extractor instances are
-// created per task) and writes its own result slot; slots concatenate in
-// sorted-host, declared-domain order, so candidate order — and with it every
-// downstream seq assignment — is identical at any worker count.
-//
-// One PageAnalysis is built per page and shared by every domain task of the
-// host (its lazy views are goroutine-safe), so the per-page DOM passes run
-// once instead of once per domain. The analyses also return to the caller:
-// the link stage reuses their main-text token streams.
-func (b *Builder) extractAll(pages *webgraph.Store, cg *conceptGroups) map[string]*extract.PageAnalysis {
-	return b.extractHosts(pages, nil, cg)
-}
-
-// extractHosts runs the extract stage over the given hosts (nil = every
-// host), folding each task's candidates into cg through the ordered fan-in:
-// candidates group per concept (pre-merged by synthesized ID) as tasks
-// complete instead of concatenating into one corpus-sized slice. The fold
-// preserves the full-build candidate ordering — hosts sorted, then the
-// config's domain order, then site-page order — so a host-restricted delta
-// extraction folds candidates in the same relative order a fresh build
-// would, which the pre-merge value dedupe depends on.
-func (b *Builder) extractHosts(pages *webgraph.Store, only map[string]bool, cg *conceptGroups) map[string]*extract.PageAnalysis {
-	hosts := pages.Hosts()
-	analyses := make(map[string]*extract.PageAnalysis)
-	type task struct {
-		sitePas []*extract.PageAnalysis
-		domain  extract.Domain
-	}
-	tasks := make([]task, 0, len(hosts)*len(b.Cfg.Domains))
-	for _, host := range hosts {
-		if only != nil && !only[host] {
-			continue
-		}
-		var sitePas []*extract.PageAnalysis
-		for _, u := range pages.HostPages(host) {
-			if p, err := pages.Get(u); err == nil {
-				pa := extract.Analyze(p)
-				sitePas = append(sitePas, pa)
-				analyses[p.URL] = pa
-			}
-		}
-		for _, d := range b.Cfg.Domains {
-			tasks = append(tasks, task{sitePas, d})
-		}
-	}
+// The unit of parallelism is a host — per-site extraction is the
+// embarrassingly parallel unit (§7.1). Each task analyzes its host's pages
+// once, shares the analyses across every domain (their lazy views are
+// goroutine-safe), and returns the host's candidates; the analyses die with
+// the task. The ordered fan-in folds each host's candidates into cg as soon
+// as every earlier host has folded, so at most 4·w host results are ever
+// resident, and candidate order — sorted hosts, then the config's domain
+// order, then site-page order — is identical at any worker count. A
+// host-restricted delta extraction therefore folds candidates in the same
+// relative order a fresh build would, which the pre-merge value dedupe
+// depends on.
+func (b *Builder) extractHosts(pages *webgraph.Store, hosts []string, cg *conceptGroups) {
 	w := b.workers()
-	parallelEachOrdered(len(tasks), w, 4*w,
+	parallelEachOrdered(len(hosts), w, 4*w,
 		func(i int) []*extract.Candidate {
-			return b.extractSite(tasks[i].sitePas, tasks[i].domain)
+			var sitePas []*extract.PageAnalysis
+			for _, u := range pages.HostPages(hosts[i]) {
+				if p, err := pages.Get(u); err == nil {
+					sitePas = append(sitePas, extract.Analyze(p))
+				}
+			}
+			var all []*extract.Candidate
+			for _, d := range b.Cfg.Domains {
+				all = append(all, b.extractSite(sitePas, d)...)
+			}
+			return all
 		},
-		func(_ int, cands []*extract.Candidate) { cg.addAll(cands) })
-	return analyses
+		func(i int, cands []*extract.Candidate) {
+			cg.addAll(cands)
+			if d := i + 1; d%64 == 0 || d == len(hosts) {
+				b.progress("extract", d, len(hosts))
+			}
+		})
 }
 
 // extractSite is the body of one extract task: one domain's list extraction
@@ -513,87 +522,99 @@ func appendUnique(list []string, v string) []string {
 // records but whose text matches a stored record become review/mention
 // records linked to their subject.
 //
-// The matcher is built once and its read path (Best/Match) is goroutine-
-// safe, so pages are scored across the worker pool; all mutation —
+// Scoring fans out over the worker pool (see scoreLinks); all mutation —
 // Assoc/RevAssoc entries and review-record Puts, including their NextSeq
-// stamps — happens in a single apply phase that walks the scoring results
-// in sorted-URL order, keeping seq assignment deterministic. Scoring reads
+// stamps — happens in a single apply phase that walks the hits in
+// sorted-URL order, keeping seq assignment deterministic. Scoring reads
 // woc.Assoc concurrently, which is safe because the apply phase has not
 // started and no other stage runs: each page's skip decision depends only
 // on extraction-time associations, never on another page's link.
-//
-// analyses carries the extract stage's per-page PageAnalysis values so the
-// main-text walk and its tokenization are not repeated here; pages missing
-// from the map (nil map on a fresh store) are analyzed on the spot.
-func (b *Builder) linkText(woc *WebOfConcepts, stats *BuildStats, analyses map[string]*extract.PageAnalysis) {
-	linkConcepts := b.Cfg.LinkConcepts
-	if len(linkConcepts) == 0 {
+func (b *Builder) linkText(woc *WebOfConcepts, stats *BuildStats) {
+	urls := woc.Pages.URLs()
+	hits, ok := b.scoreLinks(woc, urls, func(u string) bool {
+		return len(woc.Assoc[u]) > 0 // already associated through extraction
+	})
+	if !ok {
 		return
+	}
+	for i, h := range hits {
+		if h == nil {
+			continue
+		}
+		u := urls[i]
+		stats.PagesLinked++
+		woc.Assoc[u] = appendUnique(woc.Assoc[u], h.recID)
+		woc.RevAssoc[h.recID] = appendUnique(woc.RevAssoc[h.recID], u)
+		if woc.Records.Put(reviewRecord(woc, u, h)) == nil {
+			stats.ReviewRecords++
+		}
+	}
+}
+
+// linkHit is a page's best text-match subject and the snippet its review
+// record quotes.
+type linkHit struct {
+	recID   string
+	snippet string
+}
+
+// scoreLinks scores each page of urls against the link concepts' stored
+// records with one shared text matcher, whose read path is goroutine-safe,
+// so pages score across the worker pool. hits[i] is nil for a page that is
+// skipped, missing, too short, or below the link threshold. ok is false
+// when linking is off (no link concepts, or no records of them).
+func (b *Builder) scoreLinks(woc *WebOfConcepts, urls []string, skip func(url string) bool) (hits []*linkHit, ok bool) {
+	var corpus []*lrec.Record
+	for _, c := range b.Cfg.LinkConcepts {
+		corpus = append(corpus, woc.Records.ByConcept(c)...)
+	}
+	if len(corpus) == 0 {
+		return nil, false
 	}
 	threshold := b.Cfg.LinkThreshold
 	if threshold == 0 {
 		threshold = 0.35
 	}
-	var corpus []*lrec.Record
-	for _, c := range linkConcepts {
-		corpus = append(corpus, woc.Records.ByConcept(c)...)
-	}
-	if len(corpus) == 0 {
-		return
-	}
 	tm := match.NewTextMatcher(corpus)
-
-	type hit struct {
-		url     string
-		recID   string
-		snippet string
-	}
-	urls := woc.Pages.URLs()
-	hits := make([]*hit, len(urls))
+	hits = make([]*linkHit, len(urls))
 	parallelEach(len(urls), b.workers(), func(i int) {
+		if skip != nil && skip(urls[i]) {
+			return
+		}
 		p, err := woc.Pages.Get(urls[i])
 		if err != nil {
 			return
 		}
-		if len(woc.Assoc[p.URL]) > 0 {
-			return // already associated through extraction
-		}
-		pa := analyses[p.URL]
-		if pa == nil {
-			pa = extract.Analyze(p)
-		}
+		pa := extract.Analyze(p)
 		text := pa.MainText()
 		if len(text) < 40 {
 			return
 		}
-		best, ok := tm.BestTokens(pa.MainTokens(), threshold)
-		if !ok {
+		best, found := tm.BestTokens(pa.MainTokens(), threshold)
+		if !found {
 			return
 		}
-		hits[i] = &hit{url: p.URL, recID: best.ID, snippet: truncateBytes(text, 280)}
+		hits[i] = &linkHit{recID: best.ID, snippet: truncateBytes(text, 280)}
 	})
+	return hits, true
+}
 
-	for _, h := range hits {
-		if h == nil {
-			continue
-		}
-		stats.PagesLinked++
-		woc.Assoc[h.url] = appendUnique(woc.Assoc[h.url], h.recID)
-		woc.RevAssoc[h.recID] = appendUnique(woc.RevAssoc[h.recID], h.url)
-		// Store a review record for the linked mention.
-		rev := lrec.NewRecord(fmt.Sprintf("review:%s", textproc.NormalizeKey(h.url)), "review")
-		seq := woc.Records.NextSeq()
-		add := func(key, val string, conf float64) {
-			rev.Add(key, lrec.AttrValue{Value: val, Confidence: conf,
-				Prov: lrec.Provenance{SourceURL: h.url, Operators: []string{"textmatch"}, Seq: seq}})
-		}
-		add("text", h.snippet, 0.9)
-		add("about", h.recID, 0.8)
-		add("source", h.url, 1)
-		if err := woc.Records.Put(rev); err == nil {
-			stats.ReviewRecords++
-		}
+// reviewID is the deterministic ID of the review record linking page url.
+func reviewID(url string) string { return "review:" + textproc.NormalizeKey(url) }
+
+// reviewRecord builds the review record for a page linked to h.recID,
+// stamping its values with the store's next provenance seq.
+func reviewRecord(woc *WebOfConcepts, url string, h *linkHit) *lrec.Record {
+	rev := lrec.NewRecord(reviewID(url), "review")
+	seq := woc.Records.NextSeq()
+	add := func(key, val string, conf float64) {
+		rev.Add(key, lrec.AttrValue{Value: val, Confidence: conf,
+			Prov: lrec.Provenance{SourceURL: url, Operators: []string{"textmatch"}, Seq: seq}})
 	}
+	add("text", h.snippet, 0.9)
+	add("about", h.recID, 0.8)
+	add("source", url, 1)
+	return rev
 }
 
 // truncateBytes cuts s to at most max bytes without splitting a multi-byte
@@ -609,32 +630,35 @@ func truncateBytes(s string, max int) string {
 	return s[:cut]
 }
 
-// buildIndexes fills the document and record inverted indexes. Analysis
-// (DOM text flattening + tokenization, the expensive part) fans out over the
-// worker pool via index.Prepare; the prepared postings then merge with one
-// writer per index shard, each adding its shard's documents in sorted
-// doc-ID order, so internal doc and field numbering — and hence serialized
-// index state and every score — is identical at any (workers × shards)
-// combination.
-func (b *Builder) buildIndexes(woc *WebOfConcepts) {
+// indexChunk is how many pages the index stage prepares per batch. Chunks
+// run in sorted-URL order and AddPreparedBatch preserves relative order per
+// shard, so doc numbering is the same as one corpus-sized batch would give.
+const indexChunk = 1024
+
+// fillIndexes fills the document and record inverted indexes. Analysis (DOM
+// text flattening + tokenization, the expensive part) fans out over the
+// worker pool via index.Prepare, indexChunk pages at a time; the prepared
+// postings then merge with one writer per index shard, each adding its
+// shard's documents in sorted doc-ID order, so internal doc and field
+// numbering — and hence serialized index state and every score — is
+// identical at any (workers × shards) combination.
+func (b *Builder) fillIndexes(woc *WebOfConcepts) {
 	w := b.workers()
-
 	urls := woc.Pages.URLs()
-	docs := make([]index.PreparedDoc, len(urls))
-	parallelEach(len(urls), w, func(i int) {
-		p, err := woc.Pages.Get(urls[i])
-		if err != nil {
-			return
-		}
-		docs[i] = index.Prepare(pageDocument(p))
-	})
-	woc.DocIndex.AddPreparedBatch(docs, w)
-	b.indexRecords(woc, w)
-}
+	for lo := 0; lo < len(urls); lo += indexChunk {
+		chunk := urls[lo:min(lo+indexChunk, len(urls))]
+		docs := make([]index.PreparedDoc, len(chunk))
+		parallelEach(len(chunk), w, func(i int) {
+			p, err := woc.Pages.Get(chunk[i])
+			if err != nil {
+				return
+			}
+			docs[i] = index.Prepare(pageDocument(p))
+		})
+		woc.DocIndex.AddPreparedBatch(docs, w)
+		b.progress("index", lo+len(chunk), len(urls))
+	}
 
-// indexRecords fills the record inverted index; shared by the full-batch and
-// chunked (BuildStream) page-indexing paths.
-func (b *Builder) indexRecords(woc *WebOfConcepts, w int) {
 	var recs []*lrec.Record
 	woc.Records.Scan(func(r *lrec.Record) bool {
 		if r.Concept != "review" { // reviews are reachable via their subject

@@ -346,16 +346,15 @@ func TestClassifierGateExcludesHotels(t *testing.T) {
 		}
 	}
 
-	// Pre-crawl to build the store/graph the gate needs.
+	// Pre-crawl to build the store the gate classifies.
 	st := webgraph.NewStore()
 	(&webgraph.Crawler{Fetcher: w, Store: st}).Crawl(w.SeedURLs())
-	graph := webgraph.BuildGraph(st)
 	var portalHosts []string
 	for _, city := range w.Cities() {
 		portalHosts = append(portalHosts, webgen.PortalHost(city))
 	}
 	gate := ClassifierGate(nb, map[string]string{"restaurant": webgen.CatRestaurants},
-		st, graph, portalHosts)
+		st, portalHosts)
 
 	cfg := StandardConfig(reg, w.Cities(), nil)
 	cfg.Gate = gate

@@ -10,7 +10,6 @@ import (
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/match"
 	"conceptweb/internal/obs"
-	"conceptweb/internal/textproc"
 	"conceptweb/internal/webgraph"
 )
 
@@ -149,7 +148,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	// so converging on a fresh build means re-running the extract stage over
 	// the retired records' source sites, not just the changed pages.
 	var retired map[string]*lrec.Record
-	var hosts map[string]bool
+	var hosts []string
 	b.stage(ctx, "supersede", func(context.Context) {
 		retired, hosts = b.retireAffected(woc, changed, stats)
 	})
@@ -176,7 +175,6 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		_, err := woc.Records.Get(id)
 		return err != nil
 	})
-	var analyses map[string]*extract.PageAnalysis
 	b.stage(ctx, "extract", func(context.Context) {
 		docs := make([]index.PreparedDoc, len(changed))
 		parallelEach(len(changed), b.workers(), func(i int) {
@@ -185,7 +183,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		for _, d := range docs {
 			woc.DocIndex.AddPrepared(d)
 		}
-		analyses = b.extractHosts(woc.Pages, hosts, cg)
+		b.extractHosts(woc.Pages, hosts, cg)
 	})
 
 	var linkDirty bool
@@ -199,7 +197,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	// matcher ranks against record content, so a rebuilt record can win or
 	// lose a page it never touched.
 	b.stage(ctx, "relink", func(context.Context) {
-		b.relinkPass(woc, changed, linkDirty, analyses, stats)
+		b.relinkPass(woc, changed, linkDirty, stats)
 	})
 
 	// Classify retirement outcomes now that rebuild and relink have run:
@@ -226,10 +224,10 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 // stripping cannot (a stripped value may have been co-asserted by an
 // unchanged sibling page whose assertion the dedupe folded away).
 //
-// It returns the retired records and the set of hosts whose sites must
+// It returns the retired records and the sorted hosts whose sites must
 // re-extract: every host that fed a retired record, plus the changed pages'
 // own hosts.
-func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, stats *RefreshStats) (map[string]*lrec.Record, map[string]bool) {
+func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, stats *RefreshStats) (map[string]*lrec.Record, []string) {
 	retired := make(map[string]*lrec.Record)
 	reviewPage := make(map[string]string)
 	var order []string
@@ -244,7 +242,7 @@ func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, s
 		delete(woc.goneAssoc, u)
 		// Review records are linked from the page, not to it: Assoc[u] names
 		// the review's subject. The review itself has a deterministic ID.
-		revID := "review:" + textproc.NormalizeKey(u)
+		revID := reviewID(u)
 		if _, err := woc.Records.Get(revID); err == nil {
 			ids = appendUnique(ids, revID)
 			reviewPage[revID] = u
@@ -306,7 +304,13 @@ func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, s
 	for _, p := range changed {
 		hosts[p.Host] = true
 	}
-	return retired, hosts
+	var hostList []string
+	for _, h := range woc.Pages.Hosts() {
+		if hosts[h] {
+			hostList = append(hostList, h)
+		}
+	}
+	return retired, hostList
 }
 
 // sourcedFrom reports whether any value of r names url as its source.
@@ -375,15 +379,10 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 // unchanged are left untouched. Scoring fans out over the worker pool; the
 // apply phase walks pages in sorted-URL order so seq assignment stays
 // deterministic.
-func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, global bool, analyses map[string]*extract.PageAnalysis, stats *RefreshStats) {
+func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, global bool, stats *RefreshStats) {
 	if len(b.Cfg.LinkConcepts) == 0 {
 		return
 	}
-	threshold := b.Cfg.LinkThreshold
-	if threshold == 0 {
-		threshold = 0.35
-	}
-	revIDOf := func(u string) string { return "review:" + textproc.NormalizeKey(u) }
 	// extractionAssociated reports whether any of the page's associations is
 	// justified by extraction — the page contributed a value to the record,
 	// or is the record's homepage. The build links only pages the extract
@@ -424,7 +423,7 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 				pending = append(pending, u)
 				continue
 			}
-			if _, err := woc.Records.Get(revIDOf(u)); err == nil {
+			if _, err := woc.Records.Get(reviewID(u)); err == nil {
 				pending = append(pending, u)
 			}
 		}
@@ -439,43 +438,14 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 	if len(pending) == 0 {
 		return
 	}
-	var corpus []*lrec.Record
-	for _, c := range b.Cfg.LinkConcepts {
-		corpus = append(corpus, woc.Records.ByConcept(c)...)
-	}
-	if len(corpus) == 0 {
+	hits, ok := b.scoreLinks(woc, pending, nil)
+	if !ok {
 		return
 	}
-	tm := match.NewTextMatcher(corpus)
-
-	type hit struct {
-		recID   string
-		snippet string
-	}
-	hits := make([]*hit, len(pending))
-	parallelEach(len(pending), b.workers(), func(i int) {
-		p, err := woc.Pages.Get(pending[i])
-		if err != nil {
-			return
-		}
-		pa := analyses[p.URL]
-		if pa == nil {
-			pa = extract.Analyze(p)
-		}
-		text := pa.MainText()
-		if len(text) < 40 {
-			return
-		}
-		best, ok := tm.BestTokens(pa.MainTokens(), threshold)
-		if !ok {
-			return
-		}
-		hits[i] = &hit{recID: best.ID, snippet: truncateBytes(text, 280)}
-	})
 
 	for i, u := range pending {
 		h := hits[i]
-		revID := revIDOf(u)
+		revID := reviewID(u)
 		old, errOld := woc.Records.Get(revID)
 		if extractionAssociated(u) {
 			// The rebuilt records absorbed this page into extraction: it is
@@ -513,16 +483,7 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 		stats.PagesRelinked++
 		woc.Assoc[u] = appendUnique(woc.Assoc[u], h.recID)
 		woc.RevAssoc[h.recID] = appendUnique(woc.RevAssoc[h.recID], u)
-		rev := lrec.NewRecord(revID, "review")
-		seq := woc.Records.NextSeq()
-		add := func(key, val string, conf float64) {
-			rev.Add(key, lrec.AttrValue{Value: val, Confidence: conf,
-				Prov: lrec.Provenance{SourceURL: u, Operators: []string{"textmatch"}, Seq: seq}})
-		}
-		add("text", h.snippet, 0.9)
-		add("about", h.recID, 0.8)
-		add("source", u, 1)
-		woc.Records.Put(rev) //nolint:errcheck // degraded store: link maps still converge
+		woc.Records.Put(reviewRecord(woc, u, h)) //nolint:errcheck // degraded store: link maps still converge
 	}
 }
 

@@ -165,13 +165,15 @@ func (r *Record) Keys() []string {
 func (r *Record) Has(key string) bool { return len(r.Attrs[key]) > 0 }
 
 // Confidence returns the record-level confidence: the mean of the best
-// per-attribute confidences. An empty record has confidence 0.
+// per-attribute confidences. An empty record has confidence 0. The sum runs
+// in sorted key order, so the result is the same to the last bit on every
+// call.
 func (r *Record) Confidence() float64 {
 	if len(r.Attrs) == 0 {
 		return 0
 	}
 	var sum float64
-	for k := range r.Attrs {
+	for _, k := range r.Keys() {
 		if v, ok := r.Best(k); ok {
 			sum += v.Confidence
 		}

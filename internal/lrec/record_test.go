@@ -3,6 +3,7 @@ package lrec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -68,6 +69,28 @@ func TestRecordConfidenceAggregate(t *testing.T) {
 	r.Add("b", AttrValue{Value: "y", Confidence: 0.4})
 	if got := r.Confidence(); got < 0.59 || got > 0.61 {
 		t.Errorf("confidence = %f", got)
+	}
+}
+
+// TestRecordConfidenceDeterministic: the mean sums in sorted key order, so
+// repeated calls return the same bits, not values that differ in the last
+// place with map iteration order.
+func TestRecordConfidenceDeterministic(t *testing.T) {
+	r := NewRecord("r1", "c")
+	for i := 0; i < 64; i++ {
+		r.Add(fmt.Sprintf("k%02d", i), AttrValue{Value: "v", Confidence: 1 / float64(i+3)})
+	}
+	var want float64
+	for _, k := range r.Keys() {
+		v, _ := r.Best(k)
+		want += v.Confidence
+	}
+	want /= float64(len(r.Keys()))
+	for i := 0; i < 200; i++ {
+		if got := r.Confidence(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Confidence = %v (bits %x), want %v (bits %x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

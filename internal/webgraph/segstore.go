@@ -1,7 +1,6 @@
 package webgraph
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/binary"
 	"errors"
@@ -37,12 +36,13 @@ import (
 // on segment roll, Flush, and Close — not per Put. A crash can therefore
 // tear the tail of the last segment; reopen truncates at the last valid
 // frame, exactly lrec's torn-tail contract. A decode error in any
-// non-final segment is real corruption and fails Open with ErrCorrupt.
+// non-final segment, or one followed by a CRC-valid frame in the last
+// segment, is real corruption and fails Open with ErrCorrupt.
 // After a write failure the backend latches the error: reads keep working,
 // further puts are rejected (mirroring lrec's degraded latch).
 
-// ErrCorrupt reports unrecoverable segment corruption (a bad frame before
-// the final segment's tail).
+// ErrCorrupt reports unrecoverable segment corruption: a bad frame in a
+// non-final segment, or one with a CRC-valid frame after it.
 var ErrCorrupt = errors.New("webgraph: segment store corrupt")
 
 const (
@@ -196,35 +196,43 @@ func (b *diskBackend) replay() error {
 	return nil
 }
 
+// replaySegment applies every frame of one segment. The segment is read
+// whole (segments roll at SegmentBytes, so this is bounded by one segment
+// plus its last frame), which lets a decode error look past itself: in the
+// last segment a bad frame is a torn tail only when no CRC-valid frame
+// follows it — lrec's scanValidFrame rule. A valid frame after a bad one
+// means acknowledged pages sit behind the damage, so replay refuses with
+// ErrCorrupt instead of truncating them away.
 func (b *diskBackend) replaySegment(seg int, isLast bool) error {
 	path := segPath(b.dir, seg)
 	f, err := b.fs.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
+	data, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
 	var off int64
-	for {
-		url, html, kind, n, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
+	for off < int64(len(data)) {
+		url, html, kind, n, err := decodeFrame(data[off:])
 		if err != nil {
 			if !isLast {
 				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, segName(seg), off, err)
 			}
+			if next := scanValidFrame(data[off:]); next >= 0 {
+				return fmt.Errorf("%w: %s: bad frame at offset %d (%v) but valid frame at %d — mid-segment corruption, refusing to truncate",
+					ErrCorrupt, segName(seg), off, err, off+next)
+			}
 			// Torn tail: cut the last segment back to the last valid frame
-			// (lrec's WAL repair contract). n is what the failed decode
-			// consumed; the rest of the file is garbage past the tear.
-			rest, _ := io.Copy(io.Discard, r)
+			// (lrec's WAL repair contract).
 			if terr := b.fs.Truncate(path, off); terr != nil {
 				return terr
 			}
 			b.recovery.TornTail = true
-			b.recovery.TruncatedBytes += n + rest
-			b.curOff = off
-			return nil
+			b.recovery.TruncatedBytes += int64(len(data)) - off
+			break
 		}
 		b.recovery.Frames++
 		b.applyFrame(url, html, kind, seg, off)
@@ -234,6 +242,18 @@ func (b *diskBackend) replaySegment(seg int, isLast bool) error {
 		b.curOff = off
 	}
 	return nil
+}
+
+// scanValidFrame reports the offset of the first complete CRC-valid frame in
+// rem, scanning from offset 1 (offset 0 is where decoding just failed), or
+// -1 if none exists.
+func scanValidFrame(rem []byte) int64 {
+	for i := 1; i+frameHeader <= len(rem); i++ {
+		if _, _, _, _, err := decodeFrame(rem[i:]); err == nil {
+			return int64(i)
+		}
+	}
+	return -1
 }
 
 func (b *diskBackend) applyFrame(url, html string, kind byte, seg int, off int64) {
@@ -325,44 +345,29 @@ func encodeFrame(kind byte, url, html string) []byte {
 	return buf
 }
 
-// readFrame decodes one frame from a sequential reader. size is the number
-// of bytes consumed — the full frame on success, whatever the failed decode
-// read on error (so torn-tail accounting can be exact). A clean EOF at a
-// frame boundary returns io.EOF with size 0.
-func readFrame(r io.Reader) (url, html string, kind byte, size int64, err error) {
-	var hdr [frameHeader]byte
-	n, err := io.ReadFull(r, hdr[:])
-	size = int64(n)
-	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = errors.New("short frame header")
-		}
-		return
+// decodeFrame decodes the frame at the start of buf, reporting its size.
+// Lengths are checked against the bytes actually present before anything is
+// sliced, so a garbage header costs no allocation beyond the two strings of
+// a frame that verified.
+func decodeFrame(buf []byte) (url, html string, kind byte, size int64, err error) {
+	if len(buf) < frameHeader {
+		return "", "", 0, 0, errors.New("short frame header")
 	}
-	kind = hdr[4]
-	ulen := binary.LittleEndian.Uint32(hdr[5:9])
-	hlen := binary.LittleEndian.Uint32(hdr[9:13])
+	kind = buf[4]
+	ulen := binary.LittleEndian.Uint32(buf[5:9])
+	hlen := binary.LittleEndian.Uint32(buf[9:13])
 	if (kind != framePut && kind != frameDelete) || ulen == 0 || ulen > maxFrameField || hlen > maxFrameField {
-		err = errors.New("bad frame header")
-		return
+		return "", "", 0, 0, errors.New("bad frame header")
 	}
-	body := make([]byte, int(ulen)+int(hlen))
-	n, err = io.ReadFull(r, body)
-	size += int64(n)
-	if err != nil {
-		err = errors.New("short frame body")
-		return
+	size = frameHeader + int64(ulen) + int64(hlen)
+	if size > int64(len(buf)) {
+		return "", "", 0, 0, errors.New("short frame body")
 	}
-	want := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	if crc != want {
-		err = errors.New("frame crc mismatch")
-		return
+	if crc32.ChecksumIEEE(buf[4:size]) != binary.LittleEndian.Uint32(buf[0:4]) {
+		return "", "", 0, 0, errors.New("frame crc mismatch")
 	}
-	url = string(body[:ulen])
-	html = string(body[ulen:])
-	return
+	body := buf[frameHeader:size]
+	return string(body[:ulen]), string(body[ulen:]), kind, size, nil
 }
 
 // readPageAt preads and decodes the frame at ref, returning the raw HTML.

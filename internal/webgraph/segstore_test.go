@@ -1,11 +1,13 @@
 package webgraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -344,6 +346,119 @@ func TestDiskStoreCorruptMiddleSegment(t *testing.T) {
 	}
 	if _, err := OpenDiskStore(dir, DiskOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over corrupt middle segment: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDiskStoreCorruptLastSegment: a bad frame in the final segment is a
+// torn tail only when no CRC-valid frame follows it. A flipped byte early in
+// the segment, with intact frames after it, is mid-log corruption: reopen
+// must refuse with ErrCorrupt and leave the file alone instead of cutting
+// every later page away. A flipped byte in the very last frame is still a
+// torn tail and is repaired.
+func TestDiskStoreCorruptLastSegment(t *testing.T) {
+	const n = 50
+	write := func(t *testing.T) (dir, seg0 string, data []byte) {
+		dir = t.TempDir()
+		s := openDisk(t, dir, DiskOptions{})
+		for i := 0; i < n; i++ {
+			s.Put(testPage(i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg0 = filepath.Join(dir, segName(0))
+		data, err := os.ReadFile(seg0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, seg0, data
+	}
+
+	t.Run("mid-segment", func(t *testing.T) {
+		dir, seg0, data := write(t)
+		data[len(data)/10] ^= 0xff
+		if err := os.WriteFile(seg0, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDiskStore(dir, DiskOptions{})
+		if err == nil {
+			rec := r.DiskRecovery()
+			kept := r.Len()
+			r.Close()
+			t.Fatalf("reopen succeeded (TornTail=%v, cut %d bytes, kept %d of %d pages), want ErrCorrupt",
+				rec.TornTail, rec.TruncatedBytes, kept, n)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("reopen: err = %v, want ErrCorrupt", err)
+		}
+		after, err := os.ReadFile(seg0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(data) {
+			t.Errorf("refused reopen still truncated the segment: %d -> %d bytes", len(data), len(after))
+		}
+	})
+
+	t.Run("last-frame", func(t *testing.T) {
+		dir, seg0, data := write(t)
+		last := encodeFrame(framePut, testPage(n-1).URL, testPage(n-1).HTML)
+		data[len(data)-len(last)/2] ^= 0xff
+		if err := os.WriteFile(seg0, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := openDisk(t, dir, DiskOptions{})
+		defer r.Close()
+		rec := r.DiskRecovery()
+		if !rec.TornTail || rec.TruncatedBytes != int64(len(last)) {
+			t.Errorf("recovery = %+v, want a torn tail of %d bytes", rec, len(last))
+		}
+		if r.Len() != n-1 {
+			t.Errorf("Len = %d after repair, want %d", r.Len(), n-1)
+		}
+	})
+}
+
+// TestDiskStoreTornHeaderBoundedAlloc: a torn frame whose header claims far
+// more bytes than remain in the segment is a torn tail, and replay must find
+// that out without allocating the claimed size (here 2×maxFrameField).
+func TestDiskStoreTornHeaderBoundedAlloc(t *testing.T) {
+	dir := t.TempDir()
+	s := openDisk(t, dir, DiskOptions{})
+	const n = 5
+	for i := 0; i < n; i++ {
+		s.Put(testPage(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [frameHeader]byte
+	hdr[4] = framePut
+	binary.LittleEndian.PutUint32(hdr[5:9], maxFrameField)
+	binary.LittleEndian.PutUint32(hdr[9:13], maxFrameField)
+	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := openDisk(t, dir, DiskOptions{})
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("replay allocated %d MiB for a %d-byte torn header", grew>>20, frameHeader)
+	}
+	rec := r.DiskRecovery()
+	if !rec.TornTail || rec.TruncatedBytes != frameHeader {
+		t.Errorf("recovery = %+v, want a torn tail of %d bytes", rec, frameHeader)
+	}
+	if r.Len() != n {
+		t.Errorf("Len = %d after repair, want %d", r.Len(), n)
 	}
 }
 

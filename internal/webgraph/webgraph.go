@@ -297,8 +297,15 @@ type Crawler struct {
 	SameHostOnly bool
 }
 
-// Crawl runs BFS from seeds and returns the number of pages fetched.
-// Fetch errors (dead links) are counted but do not abort the crawl.
+// fetchRetries is how many further attempts a transiently failed fetch
+// gets, one per later BFS round. A transient failure on a hub page would
+// otherwise cut its whole subtree out of the crawl.
+const fetchRetries = 3
+
+// Crawl runs BFS from seeds and returns the number of pages fetched and the
+// number of failed fetch attempts. A URL whose fetch fails with anything but
+// ErrNotFound (a dead link is permanent) rejoins the next round's frontier,
+// up to fetchRetries times; errors never abort the crawl.
 func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 	workers := c.Workers
 	if workers <= 0 {
@@ -311,6 +318,7 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 	}
 
 	seen := make(map[string]bool)
+	retried := make(map[string]int)
 	frontier := append([]string(nil), seeds...)
 	for _, u := range seeds {
 		seen[u] = true
@@ -349,9 +357,13 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 		}
 		wg.Wait()
 
-		for _, res := range results {
+		for i, res := range results {
 			if res.err != nil {
 				failed++
+				if u := batch[i]; !errors.Is(res.err, ErrNotFound) && retried[u] < fetchRetries {
+					retried[u]++
+					frontier = append(frontier, u)
+				}
 				continue
 			}
 			fetched++
@@ -373,29 +385,31 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 	return fetched, failed
 }
 
-// Graph is the directed link graph over crawled pages.
+// Graph is the directed link graph over a set of pages — one site's, for
+// relational classification (§4.2).
 type Graph struct {
 	Out map[string][]string
 	In  map[string][]string
 }
 
-// BuildGraph constructs the link graph restricted to pages present in the
-// store (external links are dropped).
-func BuildGraph(s *Store) *Graph {
+// BuildGraph constructs the link graph among pages: links to pages outside
+// the set and self-links are dropped, and every adjacency list is sorted and
+// deduplicated.
+func BuildGraph(pages []*Page) *Graph {
+	in := make(map[string]bool, len(pages))
+	for _, p := range pages {
+		in[p.URL] = true
+	}
 	g := &Graph{Out: make(map[string][]string), In: make(map[string][]string)}
-	s.Scan(func(p *Page) bool {
+	for _, p := range pages {
 		for _, l := range p.Outlinks {
-			if !s.Has(l) {
-				continue
-			}
-			if l == p.URL {
+			if !in[l] || l == p.URL {
 				continue
 			}
 			g.Out[p.URL] = append(g.Out[p.URL], l)
 			g.In[l] = append(g.In[l], p.URL)
 		}
-		return true
-	})
+	}
 	for _, m := range []map[string][]string{g.Out, g.In} {
 		for k := range m {
 			m[k] = dedupSorted(m[k])

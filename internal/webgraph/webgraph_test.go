@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"conceptweb/internal/webgen"
@@ -86,6 +87,49 @@ func TestCrawlDeadLinks(t *testing.T) {
 	}
 }
 
+// failingWeb fails the first fails[url] fetches of a URL with a transient
+// error, then serves it from web.
+type failingWeb struct {
+	web   miniWeb
+	mu    sync.Mutex
+	fails map[string]int
+}
+
+func (f *failingWeb) Fetch(url string) (string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.fails[url] > 0 {
+		f.fails[url]--
+		return "", fmt.Errorf("transient failure: %s", url)
+	}
+	return f.web.Fetch(url)
+}
+
+// TestCrawlRetriesTransientFailures: a hub page whose fetch fails a few
+// times is retried in later rounds, so its subtree is still crawled; every
+// failed attempt counts. A page that keeps failing is given up after
+// fetchRetries further attempts.
+func TestCrawlRetriesTransientFailures(t *testing.T) {
+	web := miniWeb{
+		"a.example/":    linked("/hub", "/flaky"),
+		"a.example/hub": linked("/p1", "/p2"),
+		"a.example/p1":  linked(),
+		"a.example/p2":  linked(),
+	}
+	f := &failingWeb{web: web, fails: map[string]int{
+		"a.example/hub":   fetchRetries,     // succeeds on the last attempt
+		"a.example/flaky": fetchRetries + 5, // never succeeds
+	}}
+	st := NewStore()
+	fetched, failed := (&Crawler{Fetcher: f, Store: st}).Crawl([]string{"a.example/"})
+	if fetched != 4 || !st.Has("a.example/p2") {
+		t.Errorf("fetched=%d (want 4), p2 crawled=%v", fetched, st.Has("a.example/p2"))
+	}
+	if want := fetchRetries + (fetchRetries + 1); failed != want {
+		t.Errorf("failed=%d, want %d failed attempts", failed, want)
+	}
+}
+
 func TestStoreChangeDetection(t *testing.T) {
 	st := NewStore()
 	p1 := NewPage("a.example/x", "<html><body>v1</body></html>")
@@ -150,10 +194,10 @@ func TestStoreHostIndex(t *testing.T) {
 }
 
 func TestBuildGraph(t *testing.T) {
-	st := NewStore()
-	st.Put(NewPage("a.example/1", linked("/2", "/2", "external.example/")))
-	st.Put(NewPage("a.example/2", linked("/1")))
-	g := BuildGraph(st)
+	g := BuildGraph([]*Page{
+		NewPage("a.example/1", linked("/2", "/2", "external.example/", "/1")),
+		NewPage("a.example/2", linked("/1")),
+	})
 	if !reflect.DeepEqual(g.Out["a.example/1"], []string{"a.example/2"}) {
 		t.Errorf("Out = %v (dups/externals should be gone)", g.Out["a.example/1"])
 	}
