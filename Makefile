@@ -77,7 +77,7 @@ benchshards:
 # bounded-memory property under regression test.
 SCALE_SIZES ?= 20000 50000 100000
 SCALE_RSS_CEILING ?= 0
-SCALE_OUT ?= BENCH_PR10.json
+SCALE_OUT ?= BENCH_PR13.json
 
 benchscale:
 	$(GO) build -o bin/wocbuild ./cmd/wocbuild
@@ -98,7 +98,7 @@ benchscale:
 	cat $(SCALE_OUT)
 
 # scalecheck compares a freshly measured scaling curve against the committed
-# baseline (BENCH_PR10.json): for each page count present in both, the ratio
+# baseline (BENCH_PR13.json): for each page count present in both, the ratio
 # of link+resolve wall time to the linear stages (ingest+extract+index) must
 # stay within a slack factor of the baseline's ratio. The stage-time ratio is
 # host-speed independent, so this catches the super-linear
@@ -107,21 +107,23 @@ benchscale:
 #   make benchscale SCALE_SIZES=20000 SCALE_OUT=bench-scale-smoke.json
 #   make scalecheck SCALE_CURVE=bench-scale-smoke.json
 SCALE_CURVE ?= bench-scale-smoke.json
-SCALE_BASELINE ?= BENCH_PR10.json
+SCALE_BASELINE ?= BENCH_PR13.json
 
 scalecheck:
 	$(GO) run ./cmd/scalecheck -curve $(SCALE_CURVE) -baseline $(SCALE_BASELINE)
 
 # microbench runs the hot-path microbenchmarks with allocation stats:
 # tokenization, repeated-group discovery, TF-IDF scoring, §5.4 text matching,
-# and collective resolution. These are the functions the extract/link/resolve
-# stages spend their time in; -benchmem makes allocation regressions visible
-# next to the ns/op numbers. The match benchmarks include *Reference
-# variants running the retained naive scorers, so the archived output shows
-# the pruned/blocked speedup alongside the absolute numbers.
+# trigram similarity and collective resolution. These are the functions the
+# extract/link/resolve stages spend their time in; -benchmem makes
+# allocation regressions visible next to the ns/op numbers. The match and
+# trigram benchmarks include *Reference variants running the retained naive
+# scorers (string-based comparators, map-based trigram sets), so the
+# archived output shows the pruned/blocked/prepared speedup alongside the
+# absolute numbers.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve' \
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkTrigramSim' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ | tee bench-micro.txt
 
 # loadtest smoke-drives a freshly built wocserve with wocload's

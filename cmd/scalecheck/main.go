@@ -1,7 +1,7 @@
 // Command scalecheck guards the scaling shape of the build against
 // regression. It compares a freshly measured benchscale curve (the JSON
 // emitted by `make benchscale`) against a committed baseline curve
-// (BENCH_PR10.json): for every page count present in both, the ratio of
+// (BENCH_PR13.json): for every page count present in both, the ratio of
 // link+resolve wall time to the rest of the pipeline (ingest + extract +
 // index) must not exceed the baseline's ratio by more than a slack factor.
 //
@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	scalecheck -curve bench-scale-smoke.json -baseline BENCH_PR10.json
+//	scalecheck -curve bench-scale-smoke.json -baseline BENCH_PR13.json
 //	           [-slack 1.5] [-grace 0.2]
 package main
 
@@ -70,7 +70,7 @@ func load(path string) (*curve, error) {
 func main() {
 	log.SetFlags(0)
 	curvePath := flag.String("curve", "bench-scale-smoke.json", "freshly measured scaling curve (make benchscale output)")
-	basePath := flag.String("baseline", "BENCH_PR10.json", "committed baseline scaling curve")
+	basePath := flag.String("baseline", "BENCH_PR13.json", "committed baseline scaling curve")
 	slack := flag.Float64("slack", 1.5, "allowed factor over the baseline link+resolve : linear-stage ratio")
 	grace := flag.Float64("grace", 0.2, "absolute ratio grace added to the bound (absorbs timer noise on small stages)")
 	flag.Parse()

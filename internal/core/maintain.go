@@ -510,8 +510,9 @@ func (b *Builder) upsert(woc *WebOfConcepts, rec *lrec.Record) (created, updated
 		// numbered. (The previous `>=` silently meant highest-ID-wins.)
 		var bestID string
 		var bestScore float64
+		incoming := m.Prepare(rec)
 		for _, cand := range woc.Records.ByConcept(rec.Concept) {
-			s := m.Score(cand, rec)
+			s := m.ScorePrepared(m.Prepare(cand), incoming)
 			if s < m.Upper {
 				continue
 			}

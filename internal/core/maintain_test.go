@@ -211,12 +211,12 @@ func TestUpsertTieBreakLowestID(t *testing.T) {
 	// default Upper threshold of 4.5 on its own.
 	m := match.NewMatcher([]match.Comparator{{
 		Key: "name",
-		Sim: func(a, b string) float64 {
+		Sim: match.SimFunc(func(a, b string) float64 {
 			if a == b {
 				return 1
 			}
 			return 0
-		},
+		}),
 		AgreeAt: 0.9, M: 0.99, U: 0.01,
 	}})
 	b := &Builder{Cfg: Config{Registry: reg, Matchers: map[string]*match.Matcher{"widget": m}}}

@@ -42,7 +42,8 @@ func BenchmarkMatchTokensReference(b *testing.B) {
 
 // The resolve benchmarks share a corpus concentrated into a handful of
 // zips, so the dominant blocks are oversized: the blocked resolver takes
-// the sorted-neighborhood split path while the reference pays all-pairs.
+// the sorted-neighborhood split path and scores from prepared features,
+// while the reference pays all-pairs with the string-based scorer.
 func BenchmarkResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	recs := randomRestaurantCorpus(rng, 160)

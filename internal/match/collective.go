@@ -176,7 +176,10 @@ func (o *neighborOrder) Swap(i, j int) {
 // single-member cluster's representative is the input record itself, never
 // cloned). On the heavy-tail block-size distributions of aggregator sites
 // this turns the formerly quadratic within-block work into B×Window while
-// keeping the fixpoint deterministic at any block layout.
+// keeping the fixpoint deterministic at any block layout. Each
+// representative's comparison features are prepared once (see Features)
+// and reused by every pair it joins, in every round, until a merge
+// rebuilds it.
 func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Cluster {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 3
@@ -201,6 +204,9 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 	// initial representatives: blocking and Decide only read them.
 	reps := make([]*lrec.Record, len(records))
 	copy(reps, records)
+	// One feature entry per current representative, kept across rounds
+	// until a merge replaces that representative.
+	feats := newFeatureCache(m, len(records))
 
 	for round := 0; round < opts.MaxRounds; round++ {
 		dirty := make(map[string]bool)
@@ -209,7 +215,7 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 			if ra == rb {
 				return
 			}
-			if m.Decide(a, b) == Match {
+			if feats.decide(a, b) == Match {
 				uf.union(a.ID, b.ID)
 				dirty[ra] = true
 				dirty[rb] = true
@@ -234,6 +240,8 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 		for _, rep := range reps {
 			if !dirtyRoot[uf.find(rep.ID)] {
 				kept = append(kept, rep)
+			} else {
+				delete(feats.byRec, rep)
 			}
 		}
 		roots := make([]string, 0, len(groups))
@@ -287,9 +295,10 @@ func PairwiseResolve(records []*lrec.Record, m *Matcher, blockers ...func(*lrec.
 		byID[r.ID] = r
 		uf.find(r.ID)
 	}
+	feats := newFeatureCache(m, len(records))
 	for _, p := range BlockBy(records, blockers...) {
 		a, b := byID[p.A], byID[p.B]
-		if m.Decide(a, b) == Match {
+		if feats.decide(a, b) == Match {
 			uf.union(a.ID, b.ID)
 		}
 	}

@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 
 // resolveReference is the pre-blocked-streaming Resolve: clone every record
 // up front, materialize the deduplicated pair list with BlockBy each round,
-// rebuild every cluster representative after any merge. Kept verbatim as
-// the equivalence oracle for the streaming, cap-or-split resolver.
+// rebuild every cluster representative after any merge, and score each pair
+// with the string-based reference scorer (fellegi_ref_test.go). Kept
+// verbatim as the equivalence oracle for the streaming, cap-or-split,
+// prepared-feature resolver.
 func resolveReference(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Cluster {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 3
@@ -44,7 +47,7 @@ func resolveReference(records []*lrec.Record, m *Matcher, opts CollectiveOptions
 			if a == nil || b == nil || uf.find(a.ID) == uf.find(b.ID) {
 				continue
 			}
-			if m.Decide(a, b) == Match {
+			if m.decideReference(a, b) == Match {
 				uf.union(a.ID, b.ID)
 				merged = true
 			}
@@ -163,6 +166,9 @@ func clustersEqual(t *testing.T, got, want []Cluster, ctx string) {
 				ctx, got[i].Rep.ID, got[i].Rep, want[i].Rep)
 		}
 	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: clusters not deeply equal", ctx)
+	}
 }
 
 // TestResolveBlockedEqualsReference: with every block under MaxBlock (the
@@ -176,6 +182,38 @@ func TestResolveBlockedEqualsReference(t *testing.T) {
 		got := Resolve(recs, m, DefaultCollectiveOptions())
 		want := resolveReference(recs, m, DefaultCollectiveOptions())
 		clustersEqual(t, got, want, fmt.Sprintf("trial %d (%d records)", trial, len(recs)))
+	}
+}
+
+// stringScorer returns a matcher whose comparators run the string-based
+// reference measures through SimFunc: the same resolver, with every pair
+// re-deriving its features as before prepared features.
+func stringScorer(m *Matcher) *Matcher {
+	comps := make([]Comparator, len(m.Comparators))
+	for i, c := range m.Comparators {
+		c.Sim = SimFunc(referenceSim(c.Sim))
+		comps[i] = c
+	}
+	return &Matcher{Comparators: comps, Upper: m.Upper, Lower: m.Lower}
+}
+
+// TestResolvePreparedEqualsStringScorer covers the cap-or-split path the
+// reference resolver lacks: with oversized blocks split into
+// sorted-neighborhood passes, prepared features and per-pair string
+// scoring produce deeply equal clusters.
+func TestResolvePreparedEqualsStringScorer(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	m := NewMatcher(RestaurantComparators())
+	ref := stringScorer(m)
+	opts := DefaultCollectiveOptions()
+	opts.MaxBlock = 6
+	opts.Window = 3
+	for trial := 0; trial < 10; trial++ {
+		recs := randomRestaurantCorpus(rng, 20+rng.Intn(40))
+		for _, o := range []CollectiveOptions{DefaultCollectiveOptions(), opts} {
+			clustersEqual(t, Resolve(recs, m, o), Resolve(recs, ref, o),
+				fmt.Sprintf("trial %d max block %d", trial, o.MaxBlock))
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ const (
 type Comparator struct {
 	Key string
 	// Sim maps two non-empty values to [0,1].
-	Sim func(a, b string) float64
+	Sim Similarity
 	// AgreeAt is the similarity threshold counted as agreement.
 	AgreeAt float64
 	// M is P(agree | same entity); U is P(agree | different entities).
@@ -56,22 +56,6 @@ func (c Comparator) Weight(a Agreement) float64 {
 	}
 }
 
-// equalNorm is exact equality after normalization.
-func equalNorm(a, b string) float64 {
-	if textproc.Normalize(a) == textproc.Normalize(b) {
-		return 1
-	}
-	return 0
-}
-
-// digitsEqual compares only the digits of two strings (phone formats).
-func digitsEqual(a, b string) float64 {
-	if onlyDigits(a) == onlyDigits(b) {
-		return 1
-	}
-	return 0
-}
-
 func onlyDigits(s string) string {
 	out := make([]byte, 0, len(s))
 	for i := 0; i < len(s); i++ {
@@ -82,56 +66,28 @@ func onlyDigits(s string) string {
 	return string(out)
 }
 
-// nameSim combines trigram and token overlap, tolerant of the suffix
-// dropping and decoration that sources apply to business names.
-func nameSim(a, b string) float64 {
-	an, bn := textproc.Normalize(a), textproc.Normalize(b)
-	tri := textproc.TrigramSim(an, bn)
-	// Containment: "gochi fusion tapas" vs "gochi" — score the shorter
-	// against its best containment in the longer.
-	at, bt := textproc.TokenSet(textproc.Tokenize(an)), textproc.TokenSet(textproc.Tokenize(bn))
-	small, large := at, bt
-	if len(bt) < len(at) {
-		small, large = bt, at
-	}
-	contained := 0
-	for t := range small {
-		if large[t] {
-			contained++
-		}
-	}
-	var cont float64
-	if len(small) > 0 {
-		cont = float64(contained) / float64(len(small))
-	}
-	if cont > tri {
-		return cont
-	}
-	return tri
-}
-
 // RestaurantComparators returns the standard comparator set for the
 // restaurant concept. M/U defaults reflect the synthetic corpus's noise
 // profile and can be re-estimated with EstimateMU.
 func RestaurantComparators() []Comparator {
 	return []Comparator{
-		{Key: "name", Sim: nameSim, AgreeAt: 0.75, M: 0.95, U: 0.02, MostSpecific: true},
+		{Key: "name", Sim: nameSimilarity{}, AgreeAt: 0.75, M: 0.95, U: 0.02, MostSpecific: true},
 		// U(zip) accounts for blocking: candidate pairs are largely generated
 		// by shared zip, so zip agreement among non-matches is common.
-		{Key: "zip", Sim: equalNorm, AgreeAt: 1, M: 0.97, U: 0.10},
-		{Key: "phone", Sim: digitsEqual, AgreeAt: 1, M: 0.90, U: 0.001},
-		{Key: "street", Sim: textproc.TrigramSim, AgreeAt: 0.8, M: 0.85, U: 0.01},
-		{Key: "city", Sim: equalNorm, AgreeAt: 1, M: 0.98, U: 0.15},
-		{Key: "cuisine", Sim: equalNorm, AgreeAt: 1, M: 0.9, U: 0.12},
+		{Key: "zip", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.97, U: 0.10},
+		{Key: "phone", Sim: digitsSimilarity{}, AgreeAt: 1, M: 0.90, U: 0.001},
+		{Key: "street", Sim: trigramSimilarity{}, AgreeAt: 0.8, M: 0.85, U: 0.01},
+		{Key: "city", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.98, U: 0.15},
+		{Key: "cuisine", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.9, U: 0.12},
 	}
 }
 
 // PublicationComparators returns the comparator set for publications.
 func PublicationComparators() []Comparator {
 	return []Comparator{
-		{Key: "title", Sim: nameSim, AgreeAt: 0.85, M: 0.97, U: 0.005, MostSpecific: true},
-		{Key: "venue", Sim: equalNorm, AgreeAt: 1, M: 0.95, U: 0.15},
-		{Key: "year", Sim: equalNorm, AgreeAt: 1, M: 0.97, U: 0.15},
+		{Key: "title", Sim: nameSimilarity{}, AgreeAt: 0.85, M: 0.97, U: 0.005, MostSpecific: true},
+		{Key: "venue", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.95, U: 0.15},
+		{Key: "year", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.97, U: 0.15},
 	}
 }
 
@@ -174,30 +130,35 @@ func NewMatcher(comps []Comparator) *Matcher {
 
 // CompareAttr compares one attribute of two records.
 func CompareAttr(c Comparator, a, b *lrec.Record) Agreement {
-	av, aok := a.Best(c.Key)
-	bv, bok := b.Best(c.Key)
-	if !aok || !bok {
+	return compareAttr(c, prepareAttr(c, a), prepareAttr(c, b))
+}
+
+// compareAttr compares one attribute's prepared values (see Features).
+func compareAttr(c Comparator, a, b []feature) Agreement {
+	if len(a) == 0 || len(b) == 0 {
 		return AgreementMissing
 	}
-	_ = av
-	_ = bv
 	if c.MostSpecific {
-		if c.Sim(mostSpecific(a.All(c.Key)), mostSpecific(b.All(c.Key))) >= c.AgreeAt {
-			return Agree
-		}
-		return Disagree
+		return agreeIf(c.Sim.compare(&a[0], &b[0]) >= c.AgreeAt)
 	}
 	// Compare against all values, take the best: multi-valued attributes
 	// agree if any pairing agrees.
 	best := 0.0
-	for _, x := range a.All(c.Key) {
-		for _, y := range b.All(c.Key) {
-			if s := c.Sim(x.Value, y.Value); s > best {
+	for i := range a {
+		for j := range b {
+			if s := c.Sim.compare(&a[i], &b[j]); s > best {
 				best = s
+			}
+			if best >= c.AgreeAt {
+				return Agree
 			}
 		}
 	}
-	if best >= c.AgreeAt {
+	return agreeIf(best >= c.AgreeAt)
+}
+
+func agreeIf(ok bool) Agreement {
+	if ok {
 		return Agree
 	}
 	return Disagree
@@ -222,16 +183,25 @@ func mostSpecific(vals []lrec.AttrValue) string {
 
 // Score returns the total log-likelihood ratio for the pair.
 func (m *Matcher) Score(a, b *lrec.Record) float64 {
+	return m.ScorePrepared(m.Prepare(a), m.Prepare(b))
+}
+
+// ScorePrepared returns the total log-likelihood ratio for a pair whose
+// features m prepared: the same value Score returns for the two records.
+func (m *Matcher) ScorePrepared(a, b *Features) float64 {
 	var s float64
-	for _, c := range m.Comparators {
-		s += c.Weight(CompareAttr(c, a, b))
+	for i, c := range m.Comparators {
+		s += c.Weight(compareAttr(c, a.attrs[i], b.attrs[i]))
 	}
 	return s
 }
 
 // Decide classifies the pair.
 func (m *Matcher) Decide(a, b *lrec.Record) Decision {
-	s := m.Score(a, b)
+	return m.decide(m.Score(a, b))
+}
+
+func (m *Matcher) decide(s float64) Decision {
 	switch {
 	case s >= m.Upper:
 		return Match

@@ -65,7 +65,8 @@ func TestNameSimVariants(t *testing.T) {
 		{"Golden Dragon Grill", "Golden Orchid Grill", false},
 	}
 	for _, c := range cases {
-		s := nameSim(c.a, c.b)
+		fa, fb := nameSimilarity{}.prepare(c.a), nameSimilarity{}.prepare(c.b)
+		s := nameSimilarity{}.compare(&fa, &fb)
 		if c.hi && s < 0.75 {
 			t.Errorf("nameSim(%q,%q) = %.2f, want high", c.a, c.b, s)
 		}
@@ -89,7 +90,7 @@ func TestComparatorWeights(t *testing.T) {
 }
 
 func TestEstimateMU(t *testing.T) {
-	comps := []Comparator{{Key: "zip", Sim: equalNorm, AgreeAt: 1, M: 0.5, U: 0.5}}
+	comps := []Comparator{{Key: "zip", Sim: equalNormSimilarity{}, AgreeAt: 1, M: 0.5, U: 0.5}}
 	var pairs []LabeledPair
 	// Same-entity pairs agree on zip 9/10 times; different 1/10.
 	for i := 0; i < 10; i++ {

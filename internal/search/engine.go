@@ -157,6 +157,9 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 	if needle == "" {
 		return nil, 0
 	}
+	// The needle's trigrams and the query city are fixed for the scan.
+	needleTri := textproc.Trigrams(needle)
+	city := textproc.Normalize(q.City)
 	var best, second float64
 	var bestRec *lrec.Record
 	e.Woc.Records.Scan(func(r *lrec.Record) bool {
@@ -167,11 +170,10 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 		if name == "" {
 			return true
 		}
-		if q.City != "" && r.Has("city") &&
-			textproc.Normalize(r.Get("city")) != textproc.Normalize(q.City) {
+		if q.City != "" && r.Has("city") && textproc.Normalize(r.Get("city")) != city {
 			return true
 		}
-		s := textproc.TrigramSim(needle, textproc.Normalize(name))
+		s := textproc.Dice(needleTri, textproc.Trigrams(textproc.Normalize(name)))
 		switch {
 		case s > best:
 			second = best

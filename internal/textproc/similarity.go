@@ -1,5 +1,10 @@
 package textproc
 
+import (
+	"cmp"
+	"slices"
+)
+
 // String-similarity measures used by entity matching (§6). All measures
 // return a score in [0, 1] with 1 meaning identical.
 
@@ -157,34 +162,71 @@ func JaccardTokens(a, b string) float64 {
 	return Jaccard(TokenSet(Tokenize(a)), TokenSet(Tokenize(b)))
 }
 
-// Dice returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|).
-func Dice(a, b map[string]bool) float64 {
+// Overlap returns |A∩B| for two sorted, duplicate-free slices, by one
+// merge walk.
+func Overlap[T cmp.Ordered](a, b []T) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// Dice returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|) of two
+// sorted, duplicate-free sets such as Trigrams returns. Two empty sets
+// score 1.
+func Dice(a, b []uint64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := 0
-	for t := range a {
-		if b[t] {
-			inter++
-		}
+	return 2 * float64(Overlap(a, b)) / float64(len(a)+len(b))
+}
+
+// Trigrams returns the distinct character trigrams of s — the set
+// CharNGrams(s, 3) yields — packed one gram per uint64 and sorted
+// ascending, the form Dice intersects. A trigram packs its three runes
+// 21 bits each, r0<<42 | r1<<21 | r2; every rune is at most 0x10FFFF, which
+// fits in 21 bits, so no two trigrams share a code. The one shorter gram
+// CharNGrams emits, the whole padded string "^$" of a value with an empty
+// key, packs its runes the same way, adds its rune count at bit 42, and
+// sets bit 63, which no trigram sets. Callers that compare one value many
+// times compute its Trigrams once.
+func Trigrams(s string) []uint64 {
+	rs := []rune("^" + NormalizeKey(s) + "$")
+	if len(rs) < 3 {
+		return []uint64{packGram(rs)}
 	}
-	den := len(a) + len(b)
-	if den == 0 {
-		return 1
+	out := make([]uint64, 0, len(rs)-2)
+	for i := 0; i+3 <= len(rs); i++ {
+		out = append(out, packGram(rs[i:i+3]))
 	}
-	return 2 * float64(inter) / float64(den)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// packGram packs a gram of at most three runes into a uint64; see Trigrams.
+func packGram(g []rune) uint64 {
+	var code uint64
+	for _, r := range g {
+		code = code<<21 | uint64(r)
+	}
+	if len(g) < 3 {
+		code |= 1<<63 | uint64(len(g))<<42
+	}
+	return code
 }
 
 // TrigramSim is Dice similarity over character trigrams — robust to small
 // edits and word-order changes, used for fuzzy name comparison.
 func TrigramSim(a, b string) float64 {
-	ta := make(map[string]bool)
-	for _, g := range CharNGrams(a, 3) {
-		ta[g] = true
-	}
-	tb := make(map[string]bool)
-	for _, g := range CharNGrams(b, 3) {
-		tb[g] = true
-	}
-	return Dice(ta, tb)
+	return Dice(Trigrams(a), Trigrams(b))
 }
